@@ -54,7 +54,8 @@ def _parse(argv):
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Path):
     """Set up SETUP_REPS times, warm up, then run timed rounds in a closed loop
-    until ``seconds`` have passed and the workload's minimum round count is met.
+    until ``seconds`` have passed and the workload's minimum count of untraced
+    rounds is met.
 
     Memory is measured as the program leaves it: nothing here collects
     garbage, changes GC thresholds or freezes objects (see README.md)."""
@@ -103,9 +104,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Pat
         if tracer is not None:
             tracer.watch_gc()
         start = time.perf_counter()
-        rounds = 0
-        while rounds < workload.min_rounds or time.perf_counter() - start < seconds:
+        rounds = plain_rounds = 0
+        # The minimum counts untraced rounds, so that a trace run's p95, taken
+        # from its untraced queries, has as many samples as a plain run's.
+        while plain_rounds < workload.min_rounds or time.perf_counter() - start < seconds:
             traced = tracer is not None and rounds % 2 == 1
+            plain_rounds += not traced
             set_phase(workload.main_phase)
             try:
                 if traced:

@@ -75,11 +75,17 @@ def _matmul_flop(args, out):
 
 
 def _tape_footprint(args, out):
-    """Computed: record count and bytes of the values an encoder trace's tape holds."""
+    """Computed: record count and bytes of the values an encoder trace's tape
+    holds for this forward. The parameter leaves are left out: they wrap the
+    model's shared, persistent arrays. Arrays that backward closures capture
+    (layer norm's normed rows, GELU's inner term) are not records and are
+    not counted either."""
     records = getattr(getattr(out, "tape", None), "_records", None)
     if records is None:
         return (0, 0)
-    return (len(records), sum(var.value.nbytes for var, _, _ in records))
+    shared = {id(var) for var in out.params.values()}
+    own = [var for var, _, _ in records if id(var) not in shared]
+    return (len(own), sum(var.value.nbytes for var in own))
 
 
 def _solve_outcome(args, out):

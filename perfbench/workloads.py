@@ -122,17 +122,12 @@ class RerankLoop:
                                                  self.truth).map
 
 
-SEARCH_CALL = 32   # queries per knn_search_many call; search_qps is the median over calls
-
-
 def timed_search(emb, queries, depth, stats, traced) -> list:
-    """First-round rankings, SEARCH_CALL queries per timed knn_search_many call."""
-    rankings = []
-    for lo in range(0, len(queries), SEARCH_CALL):
-        part = queries[lo:lo + SEARCH_CALL]
-        t0 = time.perf_counter()
-        rankings += dataset.knn_search_many(emb, part, depth)
-        stats.search.append((len(part), time.perf_counter() - t0, traced))
+    """First-round rankings from one knn_search_many call over all the queries,
+    as `csarank search` makes it; search_qps is the median over calls."""
+    t0 = time.perf_counter()
+    rankings = dataset.knn_search_many(emb, queries, depth)
+    stats.search.append((len(queries), time.perf_counter() - t0, traced))
     return rankings
 
 
@@ -222,8 +217,9 @@ class DbDfs:
     k_graph = 50
     alpha = 0.99
     pool_size = 1024
-    checked_per_round = 2    # seeded brute-force checks in the first pass
-    min_rounds = pool_size // SEARCH_CALL
+    round_queries = 256      # one search call per round, knn_search_many's own chunk
+    checked_per_round = 16   # seeded brute-force checks in the first pass
+    min_rounds = pool_size // round_queries
 
     def __init__(self, seed: int, workdir, set_phase):
         self.seed = seed
@@ -249,8 +245,8 @@ class DbDfs:
                                  self.depth, graph=self.graph)
 
     def round(self, i: int, stats: RunStats, traced: bool) -> None:
-        lo = (i % self.min_rounds) * SEARCH_CALL
-        queries = self.pool[lo:lo + SEARCH_CALL]
+        lo = (i % self.min_rounds) * self.round_queries
+        queries = self.pool[lo:lo + self.round_queries]
         rankings = timed_search(self.emb, queries, self.depth, stats, traced)
         search_s = stats.search[-1][1]
         if i < self.min_rounds:
