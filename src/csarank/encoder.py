@@ -10,6 +10,13 @@ Both sublayers use the form ``x + LN(sub(x))`` by default; the
 conventional ``LN(x + sub(x))`` is available via ``sublayer_style``.
 There is no positional term anywhere, so the model is permutation
 equivariant over candidates.
+
+Two paths run the model. :func:`encoder_forward` serves: it is plain numpy
+with all heads of a layer computed as one batched op, records nothing and
+is what re-ranking and validation call. :func:`encoder_trace` trains: it
+records every op on a :class:`~csarank.kernels.Tape` so that
+:func:`encoder_backward` can walk it, and is called only by the training
+step.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ class EncoderTrace:
     x: object            # input leaf (affinity values)
     params: dict         # name -> leaf TapeVar
     refined: object      # hidden-width output rows
-    recon: object        # affinity-space reconstruction, or None
+    recon: object        # affinity-space reconstruction
     config: EncoderConfig
 
 
@@ -192,24 +199,28 @@ def _sublayer(tape, h, sub_out, gain, bias, style):
     return tape.layer_norm_rows(tape.add(h, sub_out), gain, bias)
 
 
-def encoder_trace(
-    values: np.ndarray,
-    params: EncoderParams,
-    valid: np.ndarray = None,
-    with_recon: bool = True,
-) -> EncoderTrace:
+def _check_columns(values: np.ndarray, config: EncoderConfig) -> None:
+    if values.shape[-1] != config.input_len:
+        raise ShapeError(
+            f"affinity rows have {values.shape[-1]} columns, "
+            f"projection expects {config.input_len}"
+        )
+
+
+def encoder_trace(values: np.ndarray, params: EncoderParams,
+                  valid: np.ndarray = None) -> EncoderTrace:
     """Run the full model on a tape and return handles for a later backward.
+
+    This is the training path: every intermediate stays on the tape until
+    :func:`encoder_backward` has used it. Serving calls
+    :func:`encoder_forward` instead.
 
     ``values`` is (K, L) or a stacked batch (B, K, L); ``valid`` marks real
     candidate rows (padding rows are hidden from attention).
     """
     config = params.config
     values = np.asarray(values)
-    if values.shape[-1] != config.input_len:
-        raise ShapeError(
-            f"affinity rows have {values.shape[-1]} columns, "
-            f"projection expects {config.input_len}"
-        )
+    _check_columns(values, config)
     tape = Tape()
     pv = {name: tape.leaf(t) for name, t in params.tensors.items()}
     x = tape.leaf(values)
@@ -227,17 +238,28 @@ def encoder_trace(
         ffn_out = _ffn_block(tape, h, pv, p)
         h = _sublayer(tape, h, ffn_out, pv[f"{p}.ln2.gain"], pv[f"{p}.ln2.bias"], style)
 
-    recon = None
-    if with_recon:
-        m = tape.gelu(tape.add(tape.matmul(h, pv["mse.w1"]), pv["mse.b1"]))
-        recon = tape.add(tape.matmul(m, pv["mse.w2"]), pv["mse.b2"])
+    m = tape.gelu(tape.add(tape.matmul(h, pv["mse.w1"]), pv["mse.b1"]))
+    recon = tape.add(tape.matmul(m, pv["mse.w2"]), pv["mse.b2"])
     return EncoderTrace(tape, x, pv, h, recon, config)
 
 
 def encoder_forward(values: np.ndarray, params: EncoderParams,
                     valid: np.ndarray = None) -> np.ndarray:
-    """Refined rows for one affinity matrix (or a stacked batch of them)."""
-    return encoder_trace(values, params, valid, with_recon=False).refined.value
+    """Refined rows for one affinity matrix (or a stacked batch of them).
+
+    This is the serving path used by re-ranking and validation: the
+    projection followed by :func:`encoder_layer_forward` per layer, in plain
+    numpy, with no tape and no reconstruction head. It agrees with
+    ``encoder_trace(...).refined.value`` to float rounding.
+    """
+    values = np.asarray(values)
+    _check_columns(values, params.config)
+    t = params.tensors
+    h = matmul(values, t["proj.w"])
+    h += t["proj.b"]
+    for i in range(params.config.depth):
+        h = encoder_layer_forward(h, params, i, valid)
+    return h
 
 
 def mse_head_forward(refined: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -253,30 +275,28 @@ def mha_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
 
     Per head: softmax(Q K^T / sqrt(d)) V with padded keys pushed to -1e9
     logits; head outputs are concatenated and fused by the layer's output
-    projection. With ``return_weights`` also returns the per-head attention
-    matrices.
+    projection. All heads run as one batched op: a single QKV product
+    against the per-head tensors concatenated (1/sqrt(d) folded into the Q
+    block), then (..., H, K, d) attention. With ``return_weights`` also
+    returns the attention weights, shape (..., H, K, K).
     """
     x = np.asarray(x)
     t = params.tensors
-    config = params.config
+    heads, d = params.config.heads, params.config.head_dim
     prefix = f"layers.{layer}"
-    mask_bias = None
+    w = np.concatenate([t[f"{prefix}.attn.{part}.{hd}"]
+                        for part in "qkv" for hd in range(heads)], axis=1)
+    w[:, :heads * d] *= np.asarray(1.0 / np.sqrt(d), dtype=w.dtype)
+    qkv = matmul(x, w).reshape(*x.shape[:-1], 3, heads, d)
+    q, k, v = (np.swapaxes(qkv[..., i, :, :], -2, -3) for i in range(3))
+    scores = matmul(q, np.swapaxes(k, -1, -2))  # (..., H, K, K)
     if valid is not None and not np.all(valid):
-        mask_bias = _key_mask_bias(np.asarray(valid, dtype=bool), x.dtype)
-    outs, weights = [], []
-    for hd in range(config.heads):
-        q = matmul(x, t[f"{prefix}.attn.q.{hd}"])
-        k = matmul(x, t[f"{prefix}.attn.k.{hd}"])
-        v = matmul(x, t[f"{prefix}.attn.v.{hd}"])
-        scores = matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(config.head_dim)
-        if mask_bias is not None:
-            scores = scores + mask_bias
-        attn = softmax_rows(scores)
-        weights.append(attn)
-        outs.append(matmul(attn, v))
-    fused = matmul(np.concatenate(outs, axis=-1), t[f"{prefix}.attn.fuse"])
+        scores += _key_mask_bias(np.asarray(valid, dtype=bool), x.dtype)[..., None, :, :]
+    attn = softmax_rows(scores)
+    merged = np.swapaxes(matmul(attn, v), -2, -3).reshape(*x.shape[:-1], heads * d)
+    fused = matmul(merged, t[f"{prefix}.attn.fuse"])
     if return_weights:
-        return fused, weights
+        return fused, attn
     return fused
 
 
@@ -290,14 +310,19 @@ def encoder_layer_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
 
     def sub(h, out, gain, bias):
         if config.sublayer_style == "ln_then_add":
-            return h + layer_norm_rows(out, gain, bias)
-        return layer_norm_rows(h + out, gain, bias)
+            out = layer_norm_rows(out, gain, bias)
+            out += h
+            return out
+        out += h
+        return layer_norm_rows(out, gain, bias)
 
     h = sub(x, mha_forward(x, params, layer, valid),
             t[f"{p}.ln1.gain"], t[f"{p}.ln1.bias"])
-    ffn = matmul(gelu(matmul(h, t[f"{p}.ffn.w1"]) + t[f"{p}.ffn.b1"]),
-                 t[f"{p}.ffn.w2"]) + t[f"{p}.ffn.b2"]
-    return sub(h, ffn, t[f"{p}.ln2.gain"], t[f"{p}.ln2.bias"])
+    f = matmul(h, t[f"{p}.ffn.w1"])
+    f += t[f"{p}.ffn.b1"]
+    f = matmul(gelu(f), t[f"{p}.ffn.w2"])
+    f += t[f"{p}.ffn.b2"]
+    return sub(h, f, t[f"{p}.ln2.gain"], t[f"{p}.ln2.bias"])
 
 
 def encoder_backward(trace: EncoderTrace, grad_refined: np.ndarray = None,
@@ -305,15 +330,13 @@ def encoder_backward(trace: EncoderTrace, grad_refined: np.ndarray = None,
     """Gradients of a scalar objective given its seeds at the model outputs.
 
     Returns (parameter gradient dict, gradient w.r.t. the input matrix).
-    Missing gradients come back as zeros (a tensor can be unused when the
-    reconstruction head was not traced).
+    Missing gradients come back as zeros (the reconstruction head's tensors
+    are unused when only ``grad_refined`` is seeded).
     """
     seeds = []
     if grad_refined is not None:
         seeds.append((trace.refined, grad_refined))
     if grad_recon is not None:
-        if trace.recon is None:
-            raise ValueError("trace was recorded without the reconstruction head")
         seeds.append((trace.recon, grad_recon))
     if not seeds:
         raise ValueError("no gradient seeds given")

@@ -48,9 +48,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilized by max subtraction."""
     x = np.asarray(x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    # In place on the fresh shifted copy; a 0-d result is a numpy scalar and
+    # an integer one cannot hold exp, so those take a new array.
+    e = np.exp(e, out=e) if e.ndim and e.dtype.kind == "f" else np.exp(e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layer_norm_rows(
@@ -68,35 +71,48 @@ def layer_norm_rows(
             f"layer_norm gain/bias of dim {gain.shape}/{bias.shape} "
             f"do not match rows of dim {x.shape[-1]}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    normed = centered / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    return normed * gain + bias
+    out = x - x.mean(axis=-1, keepdims=True)
+    std = np.mean(out * out, axis=-1, keepdims=True)
+    std += np.asarray(eps, dtype=x.dtype)
+    np.sqrt(std, out=std)
+    out /= std
+    out *= gain
+    out += bias
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU activation, tanh form: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     x = np.asarray(x)
-    c = np.asarray(GELU_C, dtype=x.dtype)
-    t = np.tanh(c * (x + np.asarray(0.044715, dtype=x.dtype) * x * x * x))
-    return np.asarray(0.5, dtype=x.dtype) * x * (np.asarray(1.0, dtype=x.dtype) + t)
+    # np.asarray keeps a 0-d product an array, so every step below can
+    # write into the one temporary.
+    t = np.asarray(np.asarray(0.044715, dtype=x.dtype) * x)
+    t *= x
+    t *= x
+    t += x
+    t *= np.asarray(GELU_C, dtype=x.dtype)
+    np.tanh(t, out=t)
+    t += 1
+    t *= x
+    t *= np.asarray(0.5, dtype=x.dtype)
+    return t
 
 
-def l2_normalize_rows(x: np.ndarray, return_zero_mask: bool = False):
-    """Scale each row to unit L2 norm; zero rows pass through unchanged.
-
-    With ``return_zero_mask=True`` also returns a boolean array flagging the
-    rows that had zero norm.
-    """
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row to unit L2 norm; zero rows pass through unchanged."""
     x = np.asarray(x)
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    zero = norms == 0
-    safe = np.where(zero, np.asarray(1.0, dtype=x.dtype), norms)
-    out = x / safe
-    if return_zero_mask:
-        return out, zero[..., 0]
-    return out
+    safe = np.where(norms == 0, np.asarray(1.0, dtype=x.dtype), norms)
+    return x / safe
+
+
+def query_cosines(rows: np.ndarray) -> np.ndarray:
+    """Cosine of every row to row 0 (the query row); a zero row scores 0.
+
+    The one scorer of refined rows, shared by re-ranking and validation.
+    """
+    u = l2_normalize_rows(rows)
+    return u @ u[0]
 
 
 # ---------------------------------------------------------------------------

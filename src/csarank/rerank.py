@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from .affinity import EmbeddingMatrix, RankingList, build_affinity_sequence
 from .dataset import knn_search
 from .encoder import EncoderParams, encoder_forward
-from .kernels import ShapeError, l2_normalize_rows
+from .kernels import ShapeError, l2_normalize_rows, query_cosines
 
 
 @dataclass
@@ -76,8 +76,7 @@ def csa_rerank(embeddings: EmbeddingMatrix, ranking: RankingList,
     k = min(k, len(ranking))
     seq = build_affinity_sequence(embeddings, ranking, k, l)
     refined = encoder_forward(seq.values, params, valid=seq.valid)
-    u = l2_normalize_rows(refined[:seq.n_candidates])
-    new_scores = u @ u[0]
+    new_scores = query_cosines(refined[:seq.n_candidates])
     return _reorder_region(ranking, seq.n_candidates, new_scores, "csa", t0)
 
 

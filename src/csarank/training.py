@@ -10,6 +10,7 @@ learning rate and diverges immediately.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import ShapeError, make_rng
-from .encoder import EncoderConfig, EncoderParams, encoder_trace, encoder_backward, init_params
+from .kernels import ShapeError, make_rng, query_cosines
+from .encoder import EncoderParams, encoder_backward, encoder_forward, encoder_trace
 from . import checkpoint as ckpt
 
 
@@ -182,8 +183,8 @@ def _sample_ap(refined: np.ndarray, relevance: np.ndarray, valid: np.ndarray):
     n_pos = int(relevance[cand].sum())
     if n_pos == 0:
         return None
-    u = refined / np.sqrt((refined * refined).sum(axis=1, keepdims=True))
-    scores = u[cand] @ u[0]
+    # the query row and the valid candidates: the rows csa_rerank scores
+    scores = query_cosines(refined[np.r_[0, cand]])[1:]
     order = np.argsort(-scores, kind="stable")
     hits = relevance[cand][order]
     ranks = np.nonzero(hits)[0] + 1
@@ -280,6 +281,10 @@ def train(
     finally:
         if log_file is not None:
             log_file.close()
+        # Each step's tape is a reference cycle that only the cyclic
+        # collector frees. Collect them before returning, so that repeated
+        # calls do not pile up step tapes until a generation-2 pass runs.
+        gc.collect()
 
     return TrainResult(params, state, log, val_history, best_epoch,
                        best_val, len(usable), n_skipped, aborted)
@@ -296,7 +301,7 @@ def _train_step(batch, params, loss_config, state, lr):
         part = batch[lo:lo + _CHUNK]
         values = np.stack([s.sequence.values for s in part])
         valid = np.stack([s.sequence.valid for s in part])
-        trace = encoder_trace(values, params, valid=valid, with_recon=True)
+        trace = encoder_trace(values, params, valid=valid)
         refined = trace.refined.value
         recon = trace.recon.value
 
@@ -357,15 +362,10 @@ def _validate(val_set, params, batch_size):
         chunk = val_set[lo:lo + min(batch_size, _CHUNK)]
         values = np.stack([s.sequence.values for s in chunk])
         valid = np.stack([s.sequence.valid for s in chunk])
-        refined = encoder_trace(values, params, valid=valid,
-                                with_recon=False).refined.value
+        refined = encoder_forward(values, params, valid=valid)
         for i, sample in enumerate(chunk):
             ap = _sample_ap(refined[i], sample.relevance, sample.sequence.valid)
             if ap is not None:
                 aps.append(ap)
     return float(np.mean(aps)) if aps else None
 
-
-def fresh_params(config: EncoderConfig, seed: int) -> EncoderParams:
-    """Convenience: deterministic initialization from an integer seed."""
-    return init_params(config, make_rng(seed))

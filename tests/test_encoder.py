@@ -157,6 +157,41 @@ class TestEncoderForward:
         np.testing.assert_allclose(out, golden, rtol=1e-5, atol=1e-6)
 
 
+class TestForwardMatchesTrace:
+    """The serving forward against the taped training forward."""
+
+    @pytest.mark.parametrize("style", ["ln_then_add", "add_then_ln"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_refined_rows_agree(self, style, batched):
+        # head_dim 3: 1/sqrt(3) is inexact, so folding it into Q rounds
+        # differently from scaling the scores
+        config = EncoderConfig(depth=2, heads=3, head_dim=3, hidden=9,
+                               input_len=6, sublayer_style=style).validate()
+        p = init_params(config, make_rng(40))
+        rng = make_rng(41)
+        x = rng.standard_normal((3, 7, 6)).astype(np.float32)
+        valid = np.ones((3, 7), dtype=bool)
+        valid[:, 5:] = False
+        valid[1, 3:] = False
+        if not batched:
+            x, valid = x[1], valid[1]
+        out = encoder_forward(x, p, valid=valid)
+        ref = encoder_trace(x, p, valid=valid).refined.value
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5)
+
+    def test_builds_no_tape(self, monkeypatch):
+        import csarank.encoder
+
+        def no_tape():
+            raise AssertionError("encoder_forward recorded a tape")
+
+        monkeypatch.setattr(csarank.encoder, "Tape", no_tape)
+        x = make_rng(42).standard_normal((4, 6)).astype(np.float32)
+        out = encoder_forward(x, tiny_params(43), valid=np.array([1, 1, 1, 0], bool))
+        assert out.shape == (4, 8)
+
+
 class TestMseHead:
     def test_zero_everything_gives_zero(self):
         tensors = {n: np.zeros(s, dtype=np.float32)

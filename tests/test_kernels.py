@@ -127,11 +127,25 @@ class TestL2Normalize:
         out = l2_normalize_rows(rng.standard_normal((30, 8)))
         np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
 
-    def test_zero_row_unchanged_and_flagged(self):
+    def test_zero_row_unchanged(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out, zero = l2_normalize_rows(x, return_zero_mask=True)
+        out = l2_normalize_rows(x)
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
-        np.testing.assert_array_equal(zero, [True, False])
+        np.testing.assert_allclose(out[1], [math.sqrt(0.5)] * 2, atol=1e-12)
+
+
+class TestPurity:
+    @pytest.mark.parametrize("kernel", [
+        softmax_rows,
+        gelu,
+        lambda x: layer_norm_rows(x, np.full(5, 1.5), np.full(5, 0.25)),
+    ])
+    def test_input_left_unchanged(self, kernel):
+        x = make_rng(7).standard_normal((2, 3, 5)).astype(np.float32)
+        before = x.copy()
+        out = kernel(x)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
 
 
 class TestRng:

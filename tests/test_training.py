@@ -1,14 +1,30 @@
 """Losses (hand values + FD), optimizer recursion, schedule, training loop."""
 
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from csarank.affinity import build_training_samples
-from csarank.encoder import EncoderConfig, encoder_trace, encoder_backward, init_params
-from csarank.kernels import ShapeError, l2_normalize_rows, make_rng
+from csarank.affinity import (
+    RankingList,
+    TrainingSample,
+    build_affinity_sequence,
+    build_training_samples,
+)
+from csarank.encoder import (
+    EncoderConfig,
+    EncoderParams,
+    _tensor_shapes,
+    encoder_backward,
+    encoder_trace,
+    init_params,
+)
+from csarank.evaluation import average_precision
+from csarank.kernels import ShapeError, Tape, l2_normalize_rows, make_rng
+from csarank.rerank import csa_rerank
 from csarank.training import (
     LossConfig,
     NonFiniteGradientError,
@@ -22,6 +38,7 @@ from csarank.training import (
     sgd_step,
     total_loss,
     train,
+    _validate,
 )
 from csarank.affinity import EmbeddingMatrix
 from util import central_diff, max_rel_err
@@ -357,3 +374,44 @@ class TestTrainLoop:
         rec = result.log[0]
         assert rec["loss_mse"] > 0.0
         assert rec["loss_total"] == rec["loss_contrastive"]
+
+    def test_train_leaves_no_tape_for_the_collector(self):
+        samples, config = toy_training_setup(seed=8)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(samples, init_params(config, make_rng(28)), LossConfig(),
+                  TrainRunConfig(epochs=1, batch_size=8, seed=1))
+            leftover = [o for o in gc.get_objects() if isinstance(o, Tape)]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert leftover == []
+
+
+class TestValidationScoring:
+    def test_zero_refined_row_ordered_as_served(self):
+        # Depth 0 with an identity projection: refined rows are the affinity
+        # rows. K=4 > L=2 and "z" is orthogonal to both anchors, so its
+        # refined row is all zeros.
+        config = EncoderConfig(depth=0, heads=1, head_dim=2, hidden=2,
+                               input_len=2).validate()
+        tensors = {n: np.zeros(shape, dtype=np.float32)
+                   for n, shape in _tensor_shapes(config).items()}
+        tensors["proj.w"] = np.eye(2, dtype=np.float32)
+        params = EncoderParams(tensors, config)
+        ids = ["q", "a", "z", "b"]
+        emb = EmbeddingMatrix(ids, np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0],
+                                             [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]))
+        ranking = RankingList("q", ids, [1.0, 0.8, 0.0, -1.0])
+        seq = build_affinity_sequence(emb, ranking, 4, 2)
+        np.testing.assert_array_equal(seq.values[2], 0.0)
+
+        sample = TrainingSample(seq, np.array([True, True, True, False]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            served = csa_rerank(emb, ranking, params, k=4)
+            val_map = _validate([sample], params, batch_size=8)
+        assert served.ids == ["q", "a", "z", "b"]
+        assert val_map == average_precision(served.to_ranking(), {"a", "z"})
