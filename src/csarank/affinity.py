@@ -109,10 +109,6 @@ class AffinitySequence:
     def n_candidates(self) -> int:
         return len(self.candidate_ids)
 
-    @property
-    def n_anchors(self) -> int:
-        return len(self.anchor_ids)
-
 
 @dataclass
 class TrainingSample:
@@ -208,18 +204,18 @@ def build_training_samples(
     missing from a feature set are skipped and appended to ``skipped`` when a
     list is supplied.
     """
-    from .dataset import knn_search  # local import; dataset builds on this module
+    from .dataset import knn_search_many  # local import; dataset builds on this module
 
     samples = []
     depth = max(k, l)
     for view_no, emb in enumerate(feature_sets):
         ids = query_ids if query_ids is not None else emb.ids
-        for qid in ids:
-            if qid not in emb:
-                if skipped is not None:
-                    skipped.append((view_no, qid))
-                continue
-            ranking = ensure_query_first(knn_search(emb, qid, depth), qid)
+        if skipped is not None:
+            skipped.extend((view_no, qid) for qid in ids if qid not in emb)
+        present = [qid for qid in ids if qid in emb]
+        for raw in knn_search_many(emb, present, depth):
+            qid = raw.query_id
+            ranking = ensure_query_first(raw, qid)
             seq = build_affinity_sequence(emb, ranking, k, l)
             qlab = labels.get(qid)
             rel = np.zeros(k, dtype=bool)

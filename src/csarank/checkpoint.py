@@ -18,12 +18,14 @@ A human-readable JSON sidecar (same meta) is written next to the file.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams
+from .storage import ByteReader
 
 MAGIC = b"CSAC"
 VERSION = 1
@@ -74,28 +76,9 @@ def save_checkpoint(path, params: EncoderParams, extra: dict = None,
         )
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str, entry: str = None) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CorruptCheckpointError(
-                f"truncated while reading {what}", self.pos, entry
-            )
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str, what: str, entry: str = None):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what, entry))[0]
-
-
 def load_checkpoint(path):
     """Read a checkpoint; returns (EncoderParams, extra dict, momentum dict)."""
-    r = _Reader(Path(path).read_bytes())
+    r = ByteReader(Path(path).read_bytes(), CorruptCheckpointError)
     if r.take(4, "magic") != MAGIC:
         raise CorruptCheckpointError("bad magic", 0)
     version = r.unpack("<I", "version")
@@ -104,15 +87,19 @@ def load_checkpoint(path):
     count = r.unpack("<I", "tensor count")
     tensors = {}
     for _ in range(count):
-        name_len = r.unpack("<H", "name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        name = r.text(r.unpack("<H", "name length"), "tensor name")
         rank = r.unpack("<B", "rank", name)
         dims = tuple(r.unpack("<Q", "dims", name) for _ in range(rank))
-        n_values = int(np.prod(dims)) if dims else 1
+        n_values = math.prod(dims)  # Python ints: corrupt dims cannot overflow
         raw = r.take(4 * n_values, "tensor data", name)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    meta_len = r.unpack("<I", "meta length")
-    meta = json.loads(r.take(meta_len, "meta").decode("utf-8"))
+    meta_at = r.pos + 4  # past the u32 length
+    meta = r.text(r.unpack("<I", "meta length"), "meta")
+    try:  # a JSONDecodeError is a ValueError
+        meta = json.loads(meta)
+        config = EncoderConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f"bad meta: {exc}", meta_at) from exc
 
     momentum = {}
     model = {}
@@ -121,7 +108,6 @@ def load_checkpoint(path):
             momentum[name[len(OPTIMIZER_PREFIX):]] = t
         else:
             model[name] = t
-    config = EncoderConfig.from_dict(meta["config"])
     params = EncoderParams(model, config)
     return params, meta.get("extra", {}), momentum
 

@@ -73,6 +73,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.K < 1:
+        raise UsageError(f"--K must be >= 1, got {args.K}")
     emb = storage.read_embeddings(args.embeddings)
     if args.queries:
         query_ids = [q for q in Path(args.queries).read_text().split() if q]
@@ -105,14 +107,14 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     loss_config = LossConfig(tau=args.tau, lam=args.lam)
     run_config = TrainRunConfig(epochs=args.epochs, batch_size=args.batch,
-                                seed=args.seed, k_train=args.K, anchor_len=args.L)
+                                seed=args.seed)
     resolved = {
         "data": args.data, "out": args.out, "resume": args.resume,
         "train_queries": args.train_queries, "seed": args.seed,
         "deterministic": args.deterministic,
         "model": config.to_dict(), "loss": loss_config.__dict__,
-        "run": {k: getattr(run_config, k) for k in
-                ("epochs", "batch_size", "k_train", "anchor_len")},
+        "run": {"epochs": run_config.epochs, "batch_size": run_config.batch_size,
+                "k_train": args.K, "anchor_len": args.L},
         "optimizer": {"lr": args.lr, "momentum": args.momentum,
                       "weight_decay": args.weight_decay},
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import EmbeddingMatrix, RankingList
-from .kernels import make_rng
+from .kernels import make_rng, topk_rows
 
 
 @dataclass(frozen=True)
@@ -101,30 +101,23 @@ def generate_synthetic(spec: SyntheticDatasetSpec):
 
 
 def knn_search(embeddings: EmbeddingMatrix, query_id: str, k: int) -> RankingList:
-    """Exact cosine top-k by full scan; ties broken by id, ascending."""
-    if query_id not in embeddings:
-        raise KeyError(f"unknown query id {query_id!r}")
-    scores = embeddings.rows @ embeddings.vector(query_id)
-    order = np.lexsort((embeddings.id_rank, -scores))[:k]
-    return RankingList(query_id,
-                       [embeddings.ids[i] for i in order],
-                       scores[order].astype(np.float64))
+    """Exact cosine top-k of one query: :func:`knn_search_many` of one."""
+    return knn_search_many(embeddings, [query_id], k)[0]
 
 
 def knn_search_many(embeddings: EmbeddingMatrix, query_ids: list, k: int,
                     chunk: int = 256) -> list:
-    """Batched :func:`knn_search` over many queries (same ordering contract)."""
+    """Exact cosine top-k of each query by full scan, ``chunk`` queries per GEMM;
+    order and ties (by ascending id) are those of :func:`csarank.kernels.topk_rows`."""
     missing = [q for q in query_ids if q not in embeddings]
     if missing:
         raise KeyError(f"unknown query ids {missing[:5]!r}")
     out = []
-    rank = embeddings.id_rank
     for lo in range(0, len(query_ids), chunk):
         qs = query_ids[lo:lo + chunk]
         sims = embeddings.rows[[embeddings.index[q] for q in qs]] @ embeddings.rows.T
-        for row, qid in enumerate(qs):
-            order = np.lexsort((rank, -sims[row]))[:k]
-            out.append(RankingList(qid,
-                                   [embeddings.ids[i] for i in order],
-                                   sims[row][order].astype(np.float64)))
+        top = topk_rows(sims, k, embeddings.id_rank)
+        scores = np.take_along_axis(sims, top, axis=1).astype(np.float64)
+        for qid, order, row in zip(qs, top, scores):
+            out.append(RankingList(qid, [embeddings.ids[i] for i in order], row))
     return out

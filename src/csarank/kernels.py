@@ -115,6 +115,28 @@ def query_cosines(rows: np.ndarray) -> np.ndarray:
     return u @ u[0]
 
 
+def topk_rows(scores: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
+    """Column indices of the k best entries of each row of ``scores``, best first.
+
+    Best is the highest score, and equal scores go by ascending ``id_rank``
+    (one rank per column): the package's one top-k selection and tie
+    contract. A row shorter than k gives all its columns. Only the entries
+    at or above a row's k-th score get sorted. Scores must not be NaN.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    m, n = scores.shape
+    k = min(k, n)
+    top = np.empty((m, k), dtype=np.intp)
+    if k == 0:
+        return top
+    for r, row in enumerate(scores):
+        # the row's top k plus every entry tied with its k-th score
+        cand = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
+        top[r] = cand[np.lexsort((id_rank[cand], -row[cand]))[:k]]
+    return top
+
+
 # ---------------------------------------------------------------------------
 # reverse-mode tape
 # ---------------------------------------------------------------------------
@@ -274,18 +296,6 @@ class Tape:
             du = c * (1 + 3 * k * x * x)
             dx = half * (1 + t) + half * x * (1 - t * t) * du
             return (g * dx,)
-
-        return self._emit(out, (a,), bwd)
-
-    def l2_normalize_rows(self, a: TapeVar) -> TapeVar:
-        x = a.value
-        norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-        safe = np.where(norms == 0, np.asarray(1.0, dtype=x.dtype), norms)
-        out = x / safe
-
-        def bwd(g):
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            return ((g - out * inner) / safe,)
 
         return self._emit(out, (a,), bwd)
 

@@ -4,6 +4,8 @@ Every method reorders only the top-K region of the input ranking and leaves
 the tail untouched, so the candidate-id multiset of the reordered region is
 always preserved. Query expansion additionally offers a full second-round
 search as a separate operation for pipelines that want a fresh ranking.
+It and the diffusion kNN graph select with :func:`csarank.kernels.topk_rows`,
+which holds the tie contract of all search (equal scores by ascending id).
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .affinity import EmbeddingMatrix, RankingList, build_affinity_sequence
-from .dataset import knn_search
 from .encoder import EncoderParams, encoder_forward
-from .kernels import ShapeError, l2_normalize_rows, query_cosines
+from .kernels import ShapeError, l2_normalize_rows, query_cosines, topk_rows
 
 
 @dataclass
@@ -126,7 +127,7 @@ def qe_second_round(query_id: str, expanded: np.ndarray,
                     embeddings: EmbeddingMatrix, k: int) -> RankingList:
     """Full second-round retrieval: exact cosine top-k with the expanded query."""
     scores = embeddings.rows @ expanded
-    order = np.lexsort((embeddings.id_rank, -scores))[:k]
+    order = topk_rows(scores[None, :], k, embeddings.id_rank)[0]
     return RankingList(query_id, [embeddings.ids[i] for i in order],
                        scores[order].astype(np.float64))
 
@@ -170,6 +171,7 @@ def build_diffusion_graph(embeddings: EmbeddingMatrix, k_graph: int = 50,
                           alpha: float = 0.99, chunk: int = 512) -> DiffusionGraph:
     """Mutual-kNN graph: cosine weights clamped at 0, zero diagonal,
     min-symmetrized, then normalized so (I - alpha*S) is positive definite.
+    An exact tie at the k-th neighbour keeps the lower id.
 
     alpha = 0 is allowed as the degenerate identity system (mass stays on
     the seeds)."""
@@ -179,19 +181,19 @@ def build_diffusion_graph(embeddings: EmbeddingMatrix, k_graph: int = 50,
         raise ValueError("k_graph must be >= 1")
     n = len(embeddings)
     k = min(k_graph, n - 1)
-    rows_idx, cols_idx, vals = [], [], []
+    rows, cols, vals = [], [], []
     for lo in range(0, n, chunk):
         sims = embeddings.rows[lo:lo + chunk] @ embeddings.rows.T
-        for r in range(sims.shape[0]):
-            sims[r, lo + r] = -np.inf  # no self loop
-        top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        for r in range(sims.shape[0]):
-            w = np.maximum(sims[r, top[r]], 0.0)
-            keep = w > 0
-            rows_idx.extend([lo + r] * int(keep.sum()))
-            cols_idx.extend(top[r][keep].tolist())
-            vals.extend(w[keep].tolist())
-    w_dir = sp.csr_matrix((vals, (rows_idx, cols_idx)), shape=(n, n))
+        local = np.arange(sims.shape[0])
+        sims[local, lo + local] = -np.inf  # no self loop
+        top = topk_rows(sims, k, embeddings.id_rank)
+        rows.append(np.repeat(lo + local, k))
+        cols.append(top.ravel())
+        vals.append(np.take_along_axis(sims, top, axis=1).ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    keep = vals > 0  # weights clamped at 0 leave no edge
+    w_dir = sp.csr_matrix((vals[keep].astype(np.float64), (rows[keep], cols[keep])),
+                          shape=(n, n))
     w_sym = w_dir.minimum(w_dir.T)  # mutual-kNN: edge survives only both ways
     deg = np.asarray(w_sym.sum(axis=1)).ravel()
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)

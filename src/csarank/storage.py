@@ -56,35 +56,47 @@ def write_embeddings(path, emb: EmbeddingMatrix) -> None:
         f.write(np.ascontiguousarray(emb.rows, dtype="<f4").tobytes())
 
 
+class ByteReader:
+    """Bounds-checked cursor over a binary file's bytes; each failure raises
+    ``error(message, offset, *context)``, the format's own exception type."""
+
+    def __init__(self, buf: bytes, error):
+        self.buf, self.pos, self.error = buf, 0, error
+
+    def take(self, n: int, what: str, *context) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise self.error(f"truncated while reading {what}", self.pos, *context)
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str, *context):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what, *context))[0]
+
+    def text(self, n: int, what: str, *context) -> str:
+        raw = self.take(n, what, *context)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not valid utf-8: {exc}",
+                             self.pos - n, *context) from exc
+
+
 def read_embeddings(path) -> EmbeddingMatrix:
-    buf = Path(path).read_bytes()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise FormatError(f"truncated while reading {what}", pos)
-        out = buf[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != EMB_MAGIC:
+    r = ByteReader(Path(path).read_bytes(), FormatError)
+    if r.take(4, "magic") != EMB_MAGIC:
         raise FormatError("bad magic", 0)
-    version = struct.unpack("<I", take(4, "version"))[0]
+    version = r.unpack("<I", "version")
     if version != EMB_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    n = struct.unpack("<Q", take(8, "row count"))[0]
-    dim = struct.unpack("<I", take(4, "dimension"))[0]
-    dtype = struct.unpack("<B", take(1, "dtype"))[0]
+    n = r.unpack("<Q", "row count")
+    dim = r.unpack("<I", "dimension")
+    dtype = r.unpack("<B", "dtype")
     if dtype != 0:
-        raise FormatError(f"unsupported dtype code {dtype}", pos - 1)
-    ids = []
-    for _ in range(n):
-        length = struct.unpack("<H", take(2, "id length"))[0]
-        ids.append(take(length, "id bytes").decode("utf-8"))
-    raw = take(4 * n * dim, "embedding values")
-    if pos != len(buf):
-        raise FormatError("trailing bytes after payload", pos)
+        raise FormatError(f"unsupported dtype code {dtype}", r.pos - 1)
+    ids = [r.text(r.unpack("<H", "id length"), "id") for _ in range(n)]
+    raw = r.take(4 * n * dim, "embedding values")
+    if r.pos != len(r.buf):
+        raise FormatError("trailing bytes after payload", r.pos)
     rows = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
     return EmbeddingMatrix(ids, rows)
 
@@ -97,24 +109,32 @@ def write_rankings(path, rankings: list) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def read_rankings(path) -> list:
-    out = []
+def _read_records(path, what: str, parse) -> None:
+    """Hand each non-blank line of a JSON Lines file to ``parse`` as a record;
+    a line that fails raises FormatError with its number and byte offset."""
     offset = 0
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, start=1):
-            line = raw.decode("utf-8").strip()
-            if line:
-                try:
-                    rec = json.loads(line)
-                    ids = [e[0] for e in rec["entries"]]
-                    scores = np.array([e[1] for e in rec["entries"]], dtype=np.float64)
-                    out.append(RankingList(rec["query"], ids, scores))
-                except (KeyError, TypeError, IndexError, ValueError,
-                        json.JSONDecodeError) as exc:
-                    raise FormatError(
-                        f"bad ranking record on line {line_no}: {exc}", offset
-                    ) from exc
+            try:  # a UnicodeDecodeError is a ValueError
+                line = raw.decode("utf-8").strip()
+                if line:
+                    parse(json.loads(line))
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise FormatError(
+                    f"bad {what} record on line {line_no}: {exc}", offset
+                ) from exc
             offset += len(raw)
+
+
+def read_rankings(path) -> list:
+    out = []
+
+    def parse(rec):
+        entries = rec["entries"]
+        out.append(RankingList(rec["query"], [e[0] for e in entries],
+                               np.array([e[1] for e in entries], dtype=np.float64)))
+
+    _read_records(path, "ranking", parse)
     return out
 
 
@@ -129,22 +149,13 @@ def write_ground_truth(path, truth: GroundTruth) -> None:
 
 def read_ground_truth(path) -> GroundTruth:
     positives, ignores = {}, {}
-    offset = 0
-    with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.decode("utf-8").strip()
-            if line:
-                try:
-                    rec = json.loads(line)
-                    positives[rec["query"]] = set(rec["positives"])
-                    if rec.get("ignores"):
-                        ignores[rec["query"]] = set(rec["ignores"])
-                except (KeyError, TypeError, ValueError,
-                        json.JSONDecodeError) as exc:
-                    raise FormatError(
-                        f"bad ground-truth record on line {line_no}: {exc}", offset
-                    ) from exc
-            offset += len(raw)
+
+    def parse(rec):
+        positives[rec["query"]] = set(rec["positives"])
+        if rec.get("ignores"):
+            ignores[rec["query"]] = set(rec["ignores"])
+
+    _read_records(path, "ground-truth", parse)
     return GroundTruth(positives, ignores)
 
 

@@ -52,8 +52,6 @@ class TrainRunConfig:
     epochs: int = 100
     batch_size: int = 256
     seed: int = 0
-    k_train: int = 512
-    anchor_len: int = 512
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -311,16 +309,16 @@ def _train_step(batch, params, loss_config, state, lr):
         for i, sample in enumerate(part):
             rel, v = sample.relevance, sample.sequence.valid
             try:
-                lc, gc = contrastive_loss(refined[i], rel, loss_config.tau, v)
+                lc, g_lc = contrastive_loss(refined[i], rel, loss_config.tau, v)
             except NoPositivesError:
                 continue
-            lm_raw, gm = mse_loss(values[i], recon[i], v)
+            lm_raw, g_lm = mse_loss(values[i], recon[i], v)
             n_el = int(v.sum()) * values.shape[2]
             chunk_used += 1
             lc_sum += lc
             lm_sum += lm_raw / n_el
-            d_refined[i] = gc
-            d_recon[i] = (loss_config.lam / n_el) * gm
+            d_refined[i] = g_lc
+            d_recon[i] = (loss_config.lam / n_el) * g_lm
 
         if chunk_used:
             part_grads, _ = encoder_backward(trace, d_refined, d_recon)

@@ -159,6 +159,33 @@ class TestBuildTrainingSamples:
             np.testing.assert_array_equal(s.relevance, hand)
             assert s.sequence.candidate_ids[0] == s.sequence.query_id
 
+    def test_matches_per_query_reference(self):
+        # brute force per query and view; view 1 lacks "t2", so it is
+        # skipped there and the other queries keep their order
+        views, labels = self._toy(seed=1, views=2)
+        keep = [0, 1, 3, 4, 5]
+        lacking = EmbeddingMatrix([views[1].ids[i] for i in keep], views[1].rows[keep])
+        queries = ["t4", "t2", "t0", "t5"]
+        skipped = []
+        samples = build_training_samples([views[0], lacking], labels, k=3, l=4,
+                                         query_ids=queries, skipped=skipped)
+        assert skipped == [(1, "t2")]
+        expected = [(views[0], q) for q in queries] + \
+                   [(lacking, q) for q in queries if q != "t2"]
+        assert len(samples) == len(expected)
+        for sample, (emb, qid) in zip(samples, expected):
+            sims = {i: float(emb.vector(i) @ emb.vector(qid)) for i in emb.ids}
+            top = sorted(emb.ids, key=lambda i: (-sims[i], i))[:4]
+            ranked = ([qid] + [i for i in top if i != qid])[:4]
+            seq = sample.sequence
+            assert seq.query_id == qid
+            assert seq.candidate_ids == ranked[:3]
+            assert seq.anchor_ids == ranked
+            rows = emb.rows[[emb.index[i] for i in ranked]]
+            np.testing.assert_allclose(seq.values, rows[:3] @ rows.T, atol=1e-6)
+            rel = [labels[c] == labels[qid] for c in ranked[:3]]
+            assert sample.relevance.tolist() == [True] + rel[1:]
+
     def test_missing_id_skipped_and_counted(self):
         views, labels = self._toy(views=2)
         trimmed = EmbeddingMatrix(views[1].ids[:-1], views[1].rows[:-1])

@@ -72,6 +72,13 @@ class TestSearch:
         assert run(["search", "--embeddings", str(tmp_path / "absent.csae"),
                     "--out", str(tmp_path / "r.jsonl")]) == 1
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_depth_below_one_is_usage_error(self, workspace, tmp_path, k):
+        assert run(["search", "--embeddings",
+                    str(workspace / "data" / "embeddings_view0.csae"),
+                    "--out", str(tmp_path / "r.jsonl"), "--K", k]) == 2
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_query_subset_file(self, workspace, tmp_path):
         qfile = tmp_path / "queries.txt"
         qfile.write_text("img000000\nimg000005\n")

@@ -110,10 +110,27 @@ class TestKnnSearch:
             knn_search(small_db(), "nope", 3)
 
     def test_batched_equals_single(self):
+        # knn_search is knn_search_many of one, so both are held to the
+        # brute-force sort rather than to each other
         emb = small_db(3)
         queries = ["v01", "v07", "v11"]
         many = knn_search_many(emb, queries, 6, chunk=2)
         for q, got in zip(queries, many):
-            ref = knn_search(emb, q, 6)
-            assert got.ids == ref.ids
-            np.testing.assert_allclose(got.scores, ref.scores, atol=1e-7)
+            sims = {i: float(emb.vector(i) @ emb.vector(q)) for i in emb.ids}
+            oracle = sorted(emb.ids, key=lambda i: (-sims[i], i))[:6]
+            assert got.ids == oracle
+            np.testing.assert_allclose(got.scores, [sims[i] for i in oracle],
+                                       atol=1e-6)
+            assert knn_search(emb, q, 6).ids == oracle
+
+    def test_negative_k_rejected(self):
+        emb = small_db()
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            knn_search(emb, "v00", -2)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            knn_search_many(emb, ["v00", "v01"], -1)
+
+    def test_zero_k_returns_empty_rankings(self):
+        emb = small_db()
+        assert len(knn_search(emb, "v00", 0)) == 0
+        assert [len(r) for r in knn_search_many(emb, ["v00", "v01"], 0)] == [0, 0]

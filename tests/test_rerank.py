@@ -252,6 +252,21 @@ class TestDiffusion:
         assert sorted(res.ids[:12]) == sorted(ranking.ids[:12])
         assert res.ids[12:] == ranking.ids[12:]
 
+    def test_tie_at_kth_neighbour_keeps_lower_id(self):
+        # "q" is exactly as close to "z" as to "m"; with one neighbour each,
+        # q picks "m" (the lower id) and only q-m is mutual
+        rows = np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]], dtype=np.float32)
+        emb = EmbeddingMatrix(["q", "z", "m"], rows)
+        graph = build_diffusion_graph(emb, k_graph=1, alpha=0.5)
+        s = graph.matrix.toarray()
+        assert s[0, 2] > 0 and s[2, 0] > 0
+        assert s[0, 1] == 0 and s[1, 0] == 0
+
+    def test_single_item_graph_has_no_edges(self):
+        emb = unit_db(29, 1, 4)
+        graph = build_diffusion_graph(emb, k_graph=5, alpha=0.5)
+        assert graph.k_graph == 0 and graph.matrix.nnz == 0
+
     def test_bad_alpha_rejected(self):
         emb = unit_db(28, 10, 4)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Round-trip identity and corruption reporting for all file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ class TestEmbeddingsFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_embeddings(path)
 
+    def test_non_utf8_id_reports_offset(self, tmp_path):
+        path = tmp_path / "m.csae"
+        write_embeddings(path, unit_matrix(3, 2, 3))
+        data = bytearray(path.read_bytes())
+        data[23] = 0xFF  # first byte of the first id, after the header and its length
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="utf-8") as err:
+            read_embeddings(path)
+        assert err.value.offset == 23
+
     def test_loader_renormalizes_drifted_rows(self, tmp_path):
         emb = unit_matrix(4, 3, 4)
         emb.rows[1] *= 1.5  # break the invariant behind the constructor's back
@@ -99,6 +111,18 @@ class TestRankingsFormat:
         with pytest.raises(FormatError, match="line 2"):
             read_rankings(path)
 
+    def test_non_utf8_byte_reports_line_and_offset(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_rankings(path, [RankingList("q1", ["a"], np.array([0.9])),
+                              RankingList("q2", ["b"], np.array([0.8]))])
+        data = bytearray(path.read_bytes())
+        second = data.index(b"\n") + 1
+        data[second + 11] = 0xFF  # first byte of the second record's query id
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="line 2") as err:
+            read_rankings(path)
+        assert err.value.offset == second
+
 
 class TestGroundTruthFormat:
     def test_round_trip(self, tmp_path):
@@ -115,6 +139,12 @@ class TestGroundTruthFormat:
         path = tmp_path / "labels.json"
         write_labels(path, labels)
         assert read_labels(path) == labels
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"query": "q\xff", "positives": []}\n')
+        with pytest.raises(FormatError, match="line 1"):
+            read_ground_truth(path)
 
     def test_bad_truth_record(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -160,6 +190,39 @@ class TestCheckpointFormat:
         data[1] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptCheckpointError, match="offset 0"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_reports_offset(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, make_rng(11)))
+        data = bytearray(path.read_bytes())
+        data[14] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="utf-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 14
+
+    def test_corrupt_meta_reports_offset(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, make_rng(12)))
+        data = bytearray(path.read_bytes())
+        meta_at = data.rindex(b'{"config"')
+        data[meta_at] = ord("x")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="meta") as err:
+            load_checkpoint(path)
+        assert err.value.offset == meta_at
+
+    def test_overflowing_dims_report_truncation(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, make_rng(13)))
+        data = bytearray(path.read_bytes())
+        rank_at = 14 + struct.unpack_from("<H", data, 12)[0]  # past the first name
+        assert data[rank_at] == 2
+        # 2**32 x 2**32 values: an int64 product wraps to 0
+        data[rank_at + 1:rank_at + 17] = struct.pack("<QQ", 2**32, 2**32)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="truncated"):
             load_checkpoint(path)
 
     def test_truncated_tensor_names_offending_entry(self, tmp_path):
