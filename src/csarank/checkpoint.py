@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderParams
+from .encoder import EncoderConfig, EncoderParams, _tensor_shapes
 from .storage import ByteReader
 
 MAGIC = b"CSAC"
@@ -85,9 +85,13 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CorruptCheckpointError(f"unsupported version {version}", 4)
     count = r.unpack("<I", "tensor count")
-    tensors = {}
+    tensors, entry_at = {}, {}
     for _ in range(count):
+        at = r.pos
         name = r.text(r.unpack("<H", "name length"), "tensor name")
+        if name in tensors:
+            raise CorruptCheckpointError("duplicate tensor name", at, name)
+        entry_at[name] = at
         rank = r.unpack("<B", "rank", name)
         dims = tuple(r.unpack("<Q", "dims", name) for _ in range(rank))
         n_values = math.prod(dims)  # Python ints: corrupt dims cannot overflow
@@ -101,14 +105,24 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"bad meta: {exc}", meta_at) from exc
 
-    momentum = {}
-    model = {}
+    shapes = _tensor_shapes(config)
+    momentum, model = {}, {}
     for name, t in tensors.items():
-        if name.startswith(OPTIMIZER_PREFIX):
-            momentum[name[len(OPTIMIZER_PREFIX):]] = t
-        else:
-            model[name] = t
-    params = EncoderParams(model, config)
+        base = name.removeprefix(OPTIMIZER_PREFIX)
+        if shapes.get(base) != t.shape:  # names and shapes only: no pass over data
+            raise CorruptCheckpointError(
+                f"tensor of shape {t.shape} is not in the config's model",
+                entry_at[name], name)
+        (model if base == name else momentum)[base] = t
+    try:
+        params = EncoderParams(model, config)
+    except ValueError as exc:  # a ShapeError is a ValueError
+        # every entry fits the config: a tensor is non-finite, or missing
+        # because the meta asks for another model
+        bad = next((n for n, t in model.items() if not np.all(np.isfinite(t))), None)
+        raise CorruptCheckpointError(f"bad tensors: {exc}",
+                                     meta_at if bad is None else entry_at[bad],
+                                     bad) from exc
     return params, meta.get("extra", {}), momentum
 
 

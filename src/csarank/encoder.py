@@ -11,12 +11,17 @@ conventional ``LN(x + sub(x))`` is available via ``sublayer_style``.
 There is no positional term anywhere, so the model is permutation
 equivariant over candidates.
 
-Two paths run the model. :func:`encoder_forward` serves: it is plain numpy
-with all heads of a layer computed as one batched op, records nothing and
-is what re-ranking and validation call. :func:`encoder_trace` trains: it
-records every op on a :class:`~csarank.kernels.Tape` so that
-:func:`encoder_backward` can walk it, and is called only by the training
-step.
+One layer implementation serves and trains. :func:`encoder_forward` is
+what re-ranking and validation call: the projection, then
+:func:`encoder_layer_forward` per layer, in plain numpy with all heads of a
+layer computed as one batched op. :func:`encoder_trace` is the training
+forward: the same layers, each given a cache dict to fill with what the
+backward needs, then the reconstruction head. :func:`encoder_backward`
+walks those caches in reverse, in the same batched-head form: every weight
+gradient is one GEMM over the rows of all samples of the micro-batch, and
+the per-head Q/K/V gradients are column blocks of one QKV gradient.
+All GEMMs and forward kernels go through the names this module imports
+from :mod:`csarank.kernels`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,16 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .kernels import ShapeError, Tape, softmax_rows, layer_norm_rows, gelu, matmul
+from .kernels import (
+    ShapeError,
+    gelu,
+    gelu_grad,
+    layer_norm_rows,
+    layer_norm_rows_grad,
+    matmul,
+    softmax_rows,
+    softmax_rows_grad,
+)
 
 MASK_LOGIT_BIAS = -1e9
 
@@ -118,11 +132,6 @@ class EncoderParams:
     def param_count(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(
-            {k: v.astype(dtype) for k, v in self.tensors.items()}, self.config
-        )
-
     def copy(self) -> "EncoderParams":
         return EncoderParams(
             {k: v.copy() for k, v in self.tensors.items()}, self.config
@@ -149,54 +158,13 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# forward / backward
+# forward
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EncoderTrace:
-    """Recorded forward pass: holds the tape plus handles to inputs and outputs."""
-
-    tape: Tape
-    x: object            # input leaf (affinity values)
-    params: dict         # name -> leaf TapeVar
-    refined: object      # hidden-width output rows
-    recon: object        # affinity-space reconstruction
-    config: EncoderConfig
-
 
 def _key_mask_bias(valid: np.ndarray, dtype) -> np.ndarray:
     """Additive logit bias that hides padded keys from every query row."""
     bias = np.where(valid, 0.0, MASK_LOGIT_BIAS).astype(dtype)
     return bias[..., None, :]  # broadcast over query rows
-
-
-def _attention_block(tape, h, pv, prefix, config, mask_bias):
-    heads = []
-    inv_sqrt = 1.0 / np.sqrt(config.head_dim)
-    for hd in range(config.heads):
-        q = tape.matmul(h, pv[f"{prefix}.attn.q.{hd}"])
-        k = tape.matmul(h, pv[f"{prefix}.attn.k.{hd}"])
-        v = tape.matmul(h, pv[f"{prefix}.attn.v.{hd}"])
-        scores = tape.scale(tape.matmul(q, tape.transpose(k)), inv_sqrt)
-        if mask_bias is not None:
-            scores = tape.add_const(scores, mask_bias)
-        attn = tape.softmax_rows(scores)
-        heads.append(tape.matmul(attn, v))
-    fused = tape.matmul(heads[0] if len(heads) == 1 else tape.concat(heads),
-                        pv[f"{prefix}.attn.fuse"])
-    return fused
-
-
-def _ffn_block(tape, h, pv, prefix):
-    f = tape.add(tape.matmul(h, pv[f"{prefix}.ffn.w1"]), pv[f"{prefix}.ffn.b1"])
-    f = tape.gelu(f)
-    return tape.add(tape.matmul(f, pv[f"{prefix}.ffn.w2"]), pv[f"{prefix}.ffn.b2"])
-
-
-def _sublayer(tape, h, sub_out, gain, bias, style):
-    if style == "ln_then_add":
-        return tape.add(h, tape.layer_norm_rows(sub_out, gain, bias))
-    return tape.layer_norm_rows(tape.add(h, sub_out), gain, bias)
 
 
 def _check_columns(values: np.ndarray, config: EncoderConfig) -> None:
@@ -207,50 +175,14 @@ def _check_columns(values: np.ndarray, config: EncoderConfig) -> None:
         )
 
 
-def encoder_trace(values: np.ndarray, params: EncoderParams,
-                  valid: np.ndarray = None) -> EncoderTrace:
-    """Run the full model on a tape and return handles for a later backward.
-
-    This is the training path: every intermediate stays on the tape until
-    :func:`encoder_backward` has used it. Serving calls
-    :func:`encoder_forward` instead.
-
-    ``values`` is (K, L) or a stacked batch (B, K, L); ``valid`` marks real
-    candidate rows (padding rows are hidden from attention).
-    """
-    config = params.config
-    values = np.asarray(values)
-    _check_columns(values, config)
-    tape = Tape()
-    pv = {name: tape.leaf(t) for name, t in params.tensors.items()}
-    x = tape.leaf(values)
-
-    mask_bias = None
-    if valid is not None and not np.all(valid):
-        mask_bias = _key_mask_bias(np.asarray(valid, dtype=bool), values.dtype)
-
-    h = tape.add(tape.matmul(x, pv["proj.w"]), pv["proj.b"])
-    style = config.sublayer_style
-    for i in range(config.depth):
-        p = f"layers.{i}"
-        attn_out = _attention_block(tape, h, pv, p, config, mask_bias)
-        h = _sublayer(tape, h, attn_out, pv[f"{p}.ln1.gain"], pv[f"{p}.ln1.bias"], style)
-        ffn_out = _ffn_block(tape, h, pv, p)
-        h = _sublayer(tape, h, ffn_out, pv[f"{p}.ln2.gain"], pv[f"{p}.ln2.bias"], style)
-
-    m = tape.gelu(tape.add(tape.matmul(h, pv["mse.w1"]), pv["mse.b1"]))
-    recon = tape.add(tape.matmul(m, pv["mse.w2"]), pv["mse.b2"])
-    return EncoderTrace(tape, x, pv, h, recon, config)
-
-
 def encoder_forward(values: np.ndarray, params: EncoderParams,
                     valid: np.ndarray = None) -> np.ndarray:
     """Refined rows for one affinity matrix (or a stacked batch of them).
 
     This is the serving path used by re-ranking and validation: the
-    projection followed by :func:`encoder_layer_forward` per layer, in plain
-    numpy, with no tape and no reconstruction head. It agrees with
-    ``encoder_trace(...).refined.value`` to float rounding.
+    projection followed by :func:`encoder_layer_forward` per layer, keeping
+    nothing and with no reconstruction head. It gives the same rows as
+    ``encoder_trace(...).refined``.
     """
     values = np.asarray(values)
     _check_columns(values, params.config)
@@ -262,15 +194,35 @@ def encoder_forward(values: np.ndarray, params: EncoderParams,
     return h
 
 
-def mse_head_forward(refined: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Map refined rows back to affinity space: w2 . gelu(w1 . row + b1) + b2."""
+def _mlp_forward(x: np.ndarray, params: EncoderParams, prefix: str,
+                 cache: dict = None) -> np.ndarray:
+    """w2 . gelu(w1 . row + b1) + b2 with the tensors named ``prefix.*``."""
     t = params.tensors
-    hidden = gelu(matmul(np.asarray(refined), t["mse.w1"]) + t["mse.b1"])
-    return matmul(hidden, t["mse.w2"]) + t["mse.b2"]
+    pre = matmul(x, t[f"{prefix}.w1"])
+    pre += t[f"{prefix}.b1"]
+    if cache is None:
+        act = gelu(pre)
+    else:
+        act, tanh = gelu(pre, return_tanh=True)
+        cache.update(x=x, pre=pre, tanh=tanh, act=act)
+    out = matmul(act, t[f"{prefix}.w2"])
+    out += t[f"{prefix}.b2"]
+    return out
+
+
+def mse_head_forward(refined: np.ndarray, params: EncoderParams,
+                     cache: dict = None) -> np.ndarray:
+    """Map refined rows back to affinity space: w2 . gelu(w1 . row + b1) + b2.
+
+    The reconstruction head of training. A ``cache`` dict gets what
+    :func:`encoder_backward` needs.
+    """
+    return _mlp_forward(np.asarray(refined), params, "mse", cache)
 
 
 def mha_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
-                valid: np.ndarray = None, return_weights: bool = False):
+                valid: np.ndarray = None, return_weights: bool = False,
+                cache: dict = None):
     """Multi-head attention of one layer on hidden-width rows ``x``.
 
     Per head: softmax(Q K^T / sqrt(d)) V with padded keys pushed to -1e9
@@ -278,7 +230,9 @@ def mha_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
     projection. All heads run as one batched op: a single QKV product
     against the per-head tensors concatenated (1/sqrt(d) folded into the Q
     block), then (..., H, K, d) attention. With ``return_weights`` also
-    returns the attention weights, shape (..., H, K, K).
+    returns the attention weights, shape (..., H, K, K). A ``cache`` dict
+    gets the input, the QKV weight and product, the weights and the merged
+    heads.
     """
     x = np.asarray(x)
     t = params.tensors
@@ -295,58 +249,195 @@ def mha_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
     attn = softmax_rows(scores)
     merged = np.swapaxes(matmul(attn, v), -2, -3).reshape(*x.shape[:-1], heads * d)
     fused = matmul(merged, t[f"{prefix}.attn.fuse"])
+    if cache is not None:
+        cache.update(x=x, w_qkv=w, q=q, k=k, v=v, attn=attn, merged=merged)
     if return_weights:
         return fused, attn
     return fused
 
 
 def encoder_layer_forward(x: np.ndarray, params: EncoderParams, layer: int = 0,
-                          valid: np.ndarray = None) -> np.ndarray:
-    """One encoder layer: attention sublayer then feed-forward sublayer."""
+                          valid: np.ndarray = None, cache: dict = None) -> np.ndarray:
+    """One encoder layer: attention sublayer then feed-forward sublayer.
+
+    A ``cache`` dict gets what :func:`encoder_layer_backward` needs: the
+    attention's and the FFN's own caches plus each layer norm's normed rows
+    and std. Without one the layer keeps nothing.
+    """
     x = np.asarray(x)
     t = params.tensors
-    config = params.config
     p = f"layers.{layer}"
+    ln_then_add = params.config.sublayer_style == "ln_then_add"
 
-    def sub(h, out, gain, bias):
-        if config.sublayer_style == "ln_then_add":
-            out = layer_norm_rows(out, gain, bias)
+    def sub(h, out, ln):
+        gain, bias = t[f"{p}.{ln}.gain"], t[f"{p}.{ln}.bias"]
+        if not ln_then_add:
             out += h
-            return out
-        out += h
-        return layer_norm_rows(out, gain, bias)
+        if cache is None:
+            out = layer_norm_rows(out, gain, bias)
+        else:
+            out, normed, std = layer_norm_rows(out, gain, bias, return_stats=True)
+            cache[ln] = (normed, std)
+        if ln_then_add:
+            out += h
+        return out
 
-    h = sub(x, mha_forward(x, params, layer, valid),
-            t[f"{p}.ln1.gain"], t[f"{p}.ln1.bias"])
-    f = matmul(h, t[f"{p}.ffn.w1"])
-    f += t[f"{p}.ffn.b1"]
-    f = matmul(gelu(f), t[f"{p}.ffn.w2"])
-    f += t[f"{p}.ffn.b2"]
-    return sub(h, f, t[f"{p}.ln2.gain"], t[f"{p}.ln2.bias"])
+    mha = ffn = None
+    if cache is not None:
+        mha = cache["mha"] = {}
+        ffn = cache["ffn"] = {}
+    h = sub(x, mha_forward(x, params, layer, valid, cache=mha), "ln1")
+    return sub(h, _mlp_forward(h, params, f"{p}.ffn", ffn), "ln2")
+
+
+@dataclass
+class EncoderTrace:
+    """A training forward: its outputs plus the caches encoder_backward reads.
+
+    Plain arrays and dicts with no reference cycles, so dropping the last
+    reference frees it at once.
+    """
+
+    params: EncoderParams
+    values: np.ndarray   # input affinity rows
+    layers: list         # one encoder_layer_forward cache per layer
+    head: dict           # the reconstruction head's cache
+    refined: np.ndarray  # hidden-width output rows
+    recon: np.ndarray    # affinity-space reconstruction
+
+
+def encoder_trace(values: np.ndarray, params: EncoderParams,
+                  valid: np.ndarray = None) -> EncoderTrace:
+    """Run the full model, keeping what :func:`encoder_backward` needs.
+
+    This is the training forward: the projection, the layers of
+    :func:`encoder_forward` each with a cache, then the reconstruction head.
+    ``values`` is (K, L) or a stacked batch (B, K, L); ``valid`` marks real
+    candidate rows (padding rows are hidden from attention).
+    """
+    values = np.asarray(values)
+    _check_columns(values, params.config)
+    t = params.tensors
+    h = matmul(values, t["proj.w"])
+    h += t["proj.b"]
+    layers = []
+    for i in range(params.config.depth):
+        layers.append({})
+        h = encoder_layer_forward(h, params, i, valid, cache=layers[-1])
+    head = {}
+    recon = mse_head_forward(h, params, cache=head)
+    return EncoderTrace(params, values, layers, head, h, recon)
+
+
+# ---------------------------------------------------------------------------
+# backward: each step takes the gradient of its output, adds its weight
+# gradients to ``grads`` and returns the gradient of its input
+# ---------------------------------------------------------------------------
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a^T g over the rows of every sample: one GEMM."""
+    return matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _mlp_backward(cache: dict, d_out: np.ndarray, params: EncoderParams,
+                  prefix: str, grads: dict) -> np.ndarray:
+    t = params.tensors
+    grads[f"{prefix}.w2"] = _weight_grad(cache["act"], d_out)
+    grads[f"{prefix}.b2"] = _bias_grad(d_out)
+    d_pre = gelu_grad(cache["pre"], cache["tanh"],
+                      matmul(d_out, t[f"{prefix}.w2"].T))
+    grads[f"{prefix}.w1"] = _weight_grad(cache["x"], d_pre)
+    grads[f"{prefix}.b1"] = _bias_grad(d_pre)
+    return matmul(d_pre, t[f"{prefix}.w1"].T)
+
+
+def _mha_backward(cache: dict, d_fused: np.ndarray, params: EncoderParams,
+                  layer: int, grads: dict) -> np.ndarray:
+    """All heads at once; each head's Q/K/V gradient is a column block of
+    one dW_qkv, with the 1/sqrt(d) that the forward folded into Q."""
+    t = params.tensors
+    heads, d = params.config.heads, params.config.head_dim
+    p = f"layers.{layer}"
+    x, attn = cache["x"], cache["attn"]
+    lead = x.shape[:-1]
+    grads[f"{p}.attn.fuse"] = _weight_grad(cache["merged"], d_fused)
+    d_merged = matmul(d_fused, t[f"{p}.attn.fuse"].T)
+    d_ctx = np.swapaxes(d_merged.reshape(*lead, heads, d), -2, -3)  # (..., H, K, d)
+    d_v = matmul(np.swapaxes(attn, -1, -2), d_ctx)
+    d_scores = softmax_rows_grad(attn, matmul(d_ctx, np.swapaxes(cache["v"], -1, -2)))
+    d_q = matmul(d_scores, cache["k"])
+    d_k = matmul(np.swapaxes(d_scores, -1, -2), cache["q"])
+    d_qkv = np.stack([np.swapaxes(g, -2, -3) for g in (d_q, d_k, d_v)], axis=-3)
+    d_qkv = d_qkv.reshape(*lead, 3 * heads * d)
+    dw = _weight_grad(x, d_qkv)
+    dw[:, :heads * d] *= np.asarray(1.0 / np.sqrt(d), dtype=dw.dtype)
+    for i, part in enumerate("qkv"):
+        for hd in range(heads):
+            col = (i * heads + hd) * d
+            grads[f"{p}.attn.{part}.{hd}"] = dw[:, col:col + d]
+    return matmul(d_qkv, cache["w_qkv"].T)
+
+
+def encoder_layer_backward(cache: dict, d_out: np.ndarray, params: EncoderParams,
+                           layer: int, grads: dict) -> np.ndarray:
+    """Backward of :func:`encoder_layer_forward` from the cache it filled."""
+    t = params.tensors
+    p = f"layers.{layer}"
+    ln_then_add = params.config.sublayer_style == "ln_then_add"
+
+    def sub(ln, d_y):
+        # x + LN(s): dx = dy, ds = LN'(dy); LN(x + s): dx = ds = LN'(dy)
+        normed, std = cache[ln]
+        d_ln, grads[f"{p}.{ln}.gain"], grads[f"{p}.{ln}.bias"] = \
+            layer_norm_rows_grad(d_y, normed, std, t[f"{p}.{ln}.gain"])
+        return (d_y if ln_then_add else d_ln), d_ln
+
+    d_h, d_ffn = sub("ln2", d_out)
+    d_in = _mlp_backward(cache["ffn"], d_ffn, params, f"{p}.ffn", grads)
+    d_in += d_h
+    d_x, d_mha = sub("ln1", d_in)
+    d_in = _mha_backward(cache["mha"], d_mha, params, layer, grads)
+    d_in += d_x
+    return d_in
+
+
+def _seed(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    grad = np.asarray(grad)
+    if grad.shape != out.shape:
+        raise ShapeError(f"seed shape {grad.shape} does not match output {out.shape}")
+    return grad
 
 
 def encoder_backward(trace: EncoderTrace, grad_refined: np.ndarray = None,
                      grad_recon: np.ndarray = None):
     """Gradients of a scalar objective given its seeds at the model outputs.
 
-    Returns (parameter gradient dict, gradient w.r.t. the input matrix).
-    Missing gradients come back as zeros (the reconstruction head's tensors
-    are unused when only ``grad_refined`` is seeded).
+    Walks the trace's caches in reverse: the reconstruction head, the
+    layers, then the projection. Returns (parameter gradient dict, in the
+    parameters' order; gradient w.r.t. the input values). With no
+    ``grad_recon`` the reconstruction head's gradients are zeros.
     """
-    seeds = []
-    if grad_refined is not None:
-        seeds.append((trace.refined, grad_refined))
-    if grad_recon is not None:
-        seeds.append((trace.recon, grad_recon))
-    if not seeds:
+    if grad_refined is None and grad_recon is None:
         raise ValueError("no gradient seeds given")
-    trace.tape.backward(seeds)
+    params = trace.params
+    t = params.tensors
     grads = {}
-    for name, var in trace.params.items():
-        grads[name] = (
-            var.grad if var.grad is not None else np.zeros_like(var.value)
-        )
-    x_grad = trace.x.grad
-    if x_grad is None:
-        x_grad = np.zeros_like(trace.x.value)
-    return grads, x_grad
+    if grad_recon is None:
+        for name in ("mse.w1", "mse.b1", "mse.w2", "mse.b2"):
+            grads[name] = np.zeros_like(t[name])
+        d_h = _seed(grad_refined, trace.refined)
+    else:
+        d_h = _mlp_backward(trace.head, _seed(grad_recon, trace.recon), params,
+                            "mse", grads)
+        if grad_refined is not None:
+            d_h += _seed(grad_refined, trace.refined)
+    for i in reversed(range(params.config.depth)):
+        d_h = encoder_layer_backward(trace.layers[i], d_h, params, i, grads)
+    grads["proj.w"] = _weight_grad(trace.values, d_h)
+    grads["proj.b"] = _bias_grad(d_h)
+    d_values = matmul(d_h, t["proj.w"].T)
+    return {name: grads[name] for name in t}, d_values

@@ -1,14 +1,20 @@
-"""Dense matrix kernels with reverse-mode adjoints.
+"""Dense matrix kernels and their adjoints.
 
 All kernels operate on the last one or two axes of a numpy array, so a
 2-D matrix and a stacked batch of matrices go through the same code path.
 Row-wise operations (softmax, layer norm, L2 normalization) act on the
 last axis. Everything is pure: inputs are never mutated.
 
-Gradients are obtained by recording a composition of kernels on a
-:class:`Tape` and walking it in reverse. Each kernel carries its own
-adjoint rule; the rules are validated against central finite differences
-in the test suite.
+Training gets its gradients from the adjoint kernels (``*_grad``), which
+the encoder's hand-written backward chains layer by layer. They reuse what
+the forward kept: the softmax probabilities, layer norm's normed rows and
+std (``return_stats``) and GELU's ``tanh`` (``return_tanh``).
+
+:class:`Tape` records a composition of kernels and walks it in reverse,
+with its own adjoint rule per op. Nothing in the package trains on it any
+more; the test suite composes the model on it as the reference that the
+hand-written backward must match. Both are checked against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -61,8 +67,14 @@ def layer_norm_rows(
     gain: np.ndarray,
     bias: np.ndarray,
     eps: float = LAYER_NORM_EPS,
-) -> np.ndarray:
-    """Standardize each row to zero mean / unit variance, then apply gain and bias."""
+    return_stats: bool = False,
+):
+    """Standardize each row to zero mean / unit variance, then apply gain and bias.
+
+    With ``return_stats`` returns ``(out, normed, std)``: the standardized
+    rows and each row's std (keepdims), which :func:`layer_norm_rows_grad`
+    needs.
+    """
     x = np.asarray(x)
     gain = np.asarray(gain)
     bias = np.asarray(bias)
@@ -76,13 +88,22 @@ def layer_norm_rows(
     std += np.asarray(eps, dtype=x.dtype)
     np.sqrt(std, out=std)
     out /= std
+    if return_stats:
+        normed = out
+        out = normed * gain
+        out += bias
+        return out, normed, std
     out *= gain
     out += bias
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation, tanh form: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+def gelu(x: np.ndarray, return_tanh: bool = False):
+    """GELU activation, tanh form: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    With ``return_tanh`` returns ``(out, tanh)``, the inner ``tanh`` that
+    :func:`gelu_grad` needs.
+    """
     x = np.asarray(x)
     # np.asarray keeps a 0-d product an array, so every step below can
     # write into the one temporary.
@@ -92,10 +113,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     t += x
     t *= np.asarray(GELU_C, dtype=x.dtype)
     np.tanh(t, out=t)
+    tanh = t.copy() if return_tanh else None
     t += 1
     t *= x
     t *= np.asarray(0.5, dtype=x.dtype)
-    return t
+    return (t, tanh) if return_tanh else t
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -135,6 +157,58 @@ def topk_rows(scores: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
         cand = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
         top[r] = cand[np.lexsort((id_rank[cand], -row[cand]))[:k]]
     return top
+
+
+# ---------------------------------------------------------------------------
+# adjoint kernels: the gradient of an input given the gradient ``g`` of the
+# output and what the forward kept
+# ---------------------------------------------------------------------------
+
+def softmax_rows_grad(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax_rows input, given its output ``probs``."""
+    out = g - (g * probs).sum(axis=-1, keepdims=True)
+    out *= probs
+    return out
+
+
+def layer_norm_rows_grad(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
+                         gain: np.ndarray):
+    """(d input, d gain, d bias) of layer_norm_rows from its ``return_stats``.
+
+    The gain and bias gradients are summed over every leading axis.
+    """
+    width = g.shape[-1]
+    g_normed = g * normed
+    dbias = g.reshape(-1, width).sum(axis=0)
+    dgain = g_normed.reshape(-1, width).sum(axis=0)
+    inv_width = np.asarray(1.0 / width, dtype=g.dtype)
+    # the row means of dn = g * gain and of dn * normed, as GEMVs
+    mean_dn = (g @ gain)[..., None] * inv_width
+    mean_dnn = (g_normed @ gain)[..., None] * inv_width
+    dx = g * gain
+    dx -= mean_dn
+    dx -= normed * mean_dnn
+    dx /= std
+    return dx, dgain, dbias
+
+
+def gelu_grad(x: np.ndarray, tanh: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the gelu input ``x``, given the ``tanh`` its forward kept."""
+    dtype = x.dtype
+    # 0.5 * (1 + t + x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
+    out = x * x
+    out *= np.asarray(3 * 0.044715, dtype=dtype)
+    out += 1
+    out *= np.asarray(GELU_C, dtype=dtype)
+    out *= x
+    one_minus_t2 = tanh * tanh
+    np.subtract(1, one_minus_t2, out=one_minus_t2)
+    out *= one_minus_t2
+    out += tanh
+    out += 1
+    out *= np.asarray(0.5, dtype=dtype)
+    out *= g
+    return out
 
 
 # ---------------------------------------------------------------------------

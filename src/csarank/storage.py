@@ -93,12 +93,34 @@ def read_embeddings(path) -> EmbeddingMatrix:
     dtype = r.unpack("<B", "dtype")
     if dtype != 0:
         raise FormatError(f"unsupported dtype code {dtype}", r.pos - 1)
+    ids_at = r.pos
     ids = [r.text(r.unpack("<H", "id length"), "id") for _ in range(n)]
+    rows_at = r.pos
     raw = r.take(4 * n * dim, "embedding values")
     if r.pos != len(r.buf):
         raise FormatError("trailing bytes after payload", r.pos)
     rows = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
-    return EmbeddingMatrix(ids, rows)
+    try:
+        return EmbeddingMatrix(ids, rows)
+    except ValueError as exc:
+        offset = _embedding_fault_offset(ids, ids_at, rows, rows_at)
+        raise FormatError(str(exc), offset) from exc
+
+
+def _embedding_fault_offset(ids: list, ids_at: int, rows: np.ndarray,
+                            rows_at: int) -> int:
+    """Offset of the first duplicated id or, failing that, of the first
+    non-finite value: the two faults EmbeddingMatrix rejects in decoded bytes.
+    Runs only once a read has already failed."""
+    seen = set()
+    pos = ids_at
+    for image_id in ids:
+        if image_id in seen:
+            return pos
+        seen.add(image_id)
+        pos += 2 + len(image_id.encode("utf-8"))
+    bad = np.flatnonzero(~np.isfinite(rows))
+    return rows_at + 4 * int(bad[0]) if bad.size else rows_at
 
 
 def write_rankings(path, rankings: list) -> None:

@@ -121,6 +121,16 @@ class TestTrain:
         assert rec["loss_mse"] > 0
         assert rec["loss_total"] == rec["loss_contrastive"]
 
+    def test_no_validation_split_reports_null_best_map(self, workspace, tmp_path):
+        out = tmp_path / "noval"
+        # 5 training queries hold out int(0.5) = 0 for validation
+        assert run(["train", "--data", str(workspace / "data"), "--out", str(out),
+                    "--epochs", "1", "--seed", "1", "--train-queries", "5",
+                    *TRAIN_SHAPE]) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["val_history"] == [None]
+        assert report["best_val_map"] is None
+
     def test_bad_dim_combination_is_usage_error(self, workspace, tmp_path):
         code = run(["train", "--data", str(workspace / "data"),
                     "--out", str(tmp_path / "x"), "--epochs", "1",

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from csarank.encoder import (
+    SUBLAYER_STYLES,
     EncoderConfig,
     EncoderParams,
     encoder_backward,
@@ -19,7 +21,7 @@ from csarank.encoder import (
 )
 from csarank.kernels import ShapeError, make_rng
 from csarank.training import contrastive_loss, mse_loss
-from util import central_diff, max_rel_err
+from util import cast_params, central_diff, max_rel_err, taped_backward, taped_trace
 
 TINY = EncoderConfig(depth=1, heads=2, head_dim=4, hidden=8, input_len=6).validate()
 
@@ -82,7 +84,7 @@ class TestMha:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_against_independent_oracle(self):
-        p = tiny_params(4).astype(np.float64)
+        p = cast_params(tiny_params(4), np.float64)
         x = make_rng(5).standard_normal((5, 8))
         assert np.max(np.abs(mha_forward(x, p) - mha_oracle(x, p, 0))) < 1e-6
 
@@ -158,7 +160,7 @@ class TestEncoderForward:
 
 
 class TestForwardMatchesTrace:
-    """The serving forward against the taped training forward."""
+    """The serving forward against the taped reference and the training forward."""
 
     @pytest.mark.parametrize("style", ["ln_then_add", "add_then_ln"])
     @pytest.mark.parametrize("batched", [False, True])
@@ -176,20 +178,27 @@ class TestForwardMatchesTrace:
         if not batched:
             x, valid = x[1], valid[1]
         out = encoder_forward(x, p, valid=valid)
-        ref = encoder_trace(x, p, valid=valid).refined.value
+        ref = taped_trace(x, p, valid=valid).refined.value
         assert out.shape == ref.shape
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5)
+        # the training forward runs the same layer code
+        np.testing.assert_array_equal(encoder_trace(x, p, valid=valid).refined, out)
 
     def test_builds_no_tape(self, monkeypatch):
-        import csarank.encoder
+        import csarank.kernels
 
-        def no_tape():
-            raise AssertionError("encoder_forward recorded a tape")
+        def no_tape(self):
+            raise AssertionError("a tape was recorded")
 
-        monkeypatch.setattr(csarank.encoder, "Tape", no_tape)
+        monkeypatch.setattr(csarank.kernels.Tape, "__init__", no_tape)
         x = make_rng(42).standard_normal((4, 6)).astype(np.float32)
-        out = encoder_forward(x, tiny_params(43), valid=np.array([1, 1, 1, 0], bool))
-        assert out.shape == (4, 8)
+        valid = np.array([1, 1, 1, 0], bool)
+        p = tiny_params(43)
+        assert encoder_forward(x, p, valid=valid).shape == (4, 8)
+        trace = encoder_trace(x, p, valid=valid)
+        grads, _ = encoder_backward(trace, np.ones_like(trace.refined),
+                                    np.ones_like(trace.recon))
+        assert set(grads) == set(p.tensors)
 
 
 class TestMseHead:
@@ -241,20 +250,20 @@ class TestEncoderBackward:
         # single layer, one head: every parameter entry against central FD
         config = EncoderConfig(depth=1, heads=1, head_dim=2, hidden=4,
                                input_len=3).validate(allow_dim_mismatch=True)
-        params = init_params(config, make_rng(20)).astype(np.float64)
+        params = cast_params(init_params(config, make_rng(20)), np.float64)
         x = make_rng(21).standard_normal((3, 3))
         rel = np.array([True, True, False])
         valid = np.ones(3, dtype=bool)
 
         def objective(p):
             tr = encoder_trace(x, p)
-            lc, _ = contrastive_loss(tr.refined.value, rel, 2.0, valid)
-            lm, _ = mse_loss(x, tr.recon.value, valid)
+            lc, _ = contrastive_loss(tr.refined, rel, 2.0, valid)
+            lm, _ = mse_loss(x, tr.recon, valid)
             return lc + 0.2 * lm / x.size
 
         trace = encoder_trace(x, params)
-        lc, gc = contrastive_loss(trace.refined.value, rel, 2.0, valid)
-        lm, gm = mse_loss(x, trace.recon.value, valid)
+        lc, gc = contrastive_loss(trace.refined, rel, 2.0, valid)
+        lm, gm = mse_loss(x, trace.recon, valid)
         grads, _ = encoder_backward(trace, gc, (0.2 / x.size) * gm)
 
         for name in params.tensors:
@@ -279,6 +288,45 @@ class TestEncoderBackward:
         seed_recon[4] = 0.0
         _, xg = encoder_backward(trace, seed, seed_recon)
         np.testing.assert_array_equal(xg[4], 0.0)
+
+    @given(st.data())
+    def test_matches_tape_reference(self, data):
+        # float64: the batched-head backward against the per-head taped model
+        heads = data.draw(st.integers(1, 3), label="heads")
+        head_dim = data.draw(st.sampled_from([1, 3, 5]), label="head_dim")
+        config = EncoderConfig(
+            depth=data.draw(st.integers(0, 2), label="depth"), heads=heads,
+            head_dim=head_dim, hidden=heads * head_dim,
+            input_len=data.draw(st.integers(1, 5), label="L"),
+            ffn_mult=data.draw(st.integers(1, 2), label="ffn_mult"),
+            mse_head_hidden=data.draw(st.sampled_from([0, 3]), label="mse_hidden"),
+            sublayer_style=data.draw(st.sampled_from(SUBLAYER_STYLES), label="style"),
+        ).validate()
+        batch = data.draw(st.integers(1, 3), label="batch")
+        k = data.draw(st.integers(1, 6), label="K")
+        rng = make_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        # perturb gains and biases too, so that every tensor shapes the output
+        params = EncoderParams(
+            {n: t.astype(np.float64) + 0.3 * rng.standard_normal(t.shape)
+             for n, t in init_params(config, rng).tensors.items()}, config)
+        x = rng.standard_normal((batch, k, config.input_len))
+        n_valid = data.draw(st.lists(st.integers(1, k), min_size=batch,
+                                     max_size=batch), label="n_valid")
+        valid = np.arange(k)[None, :] < np.array(n_valid)[:, None]
+        if batch == 1 and data.draw(st.booleans(), label="unstacked"):
+            x, valid = x[0], valid[0]
+        seed_refined = rng.standard_normal((*x.shape[:-1], config.hidden))
+        seed_recon = rng.standard_normal(x.shape)
+
+        trace = encoder_trace(x, params, valid=valid)
+        grads, x_grad = encoder_backward(trace, seed_refined, seed_recon)
+        ref_grads, ref_x_grad = taped_backward(taped_trace(x, params, valid=valid),
+                                               seed_refined, seed_recon)
+        assert list(grads) == list(params.tensors)
+        for name in params.tensors:
+            assert grads[name].shape == params.tensors[name].shape, name
+            assert max_rel_err(grads[name], ref_grads[name]) < 1e-6, name
+        assert max_rel_err(x_grad, ref_x_grad) < 1e-6
 
     def test_no_seed_rejected(self):
         trace = encoder_trace(np.zeros((2, 6), dtype=np.float32), tiny_params())
@@ -307,7 +355,7 @@ class TestEquivariance:
         def run():
             tr = encoder_trace(x, p)
             grads, _ = encoder_backward(tr, seed, np.zeros((4, 6), np.float32))
-            return tr.refined.value.tobytes(), grads["proj.w"].tobytes()
+            return tr.refined.tobytes(), grads["proj.w"].tobytes()
 
         assert run() == run()
 

@@ -10,11 +10,14 @@ from csarank.kernels import (
     ShapeError,
     Tape,
     gelu,
+    gelu_grad,
     l2_normalize_rows,
     layer_norm_rows,
+    layer_norm_rows_grad,
     make_rng,
     matmul,
     softmax_rows,
+    softmax_rows_grad,
     topk_rows,
 )
 from util import central_diff, max_rel_err
@@ -187,6 +190,42 @@ class TestPurity:
         out = kernel(x)
         np.testing.assert_array_equal(x, before)
         assert not np.shares_memory(out, x)
+
+
+class TestAdjointKernels:
+    """The hand-written backward's adjoint kernels vs central finite differences."""
+
+    def test_softmax_rows_grad_fd(self):
+        rng = make_rng(60)
+        x = rng.standard_normal((2, 3, 5))
+        seed = rng.standard_normal((2, 3, 5))
+        fd = central_diff(lambda v: float((softmax_rows(v) * seed).sum()), x)
+        assert max_rel_err(softmax_rows_grad(softmax_rows(x), seed), fd) < 1e-6
+
+    def test_gelu_grad_fd(self):
+        rng = make_rng(61)
+        x = 2.0 * rng.standard_normal((3, 7))
+        seed = rng.standard_normal((3, 7))
+        out, tanh = gelu(x, return_tanh=True)
+        np.testing.assert_array_equal(out, gelu(x))
+        fd = central_diff(lambda v: float((gelu(v) * seed).sum()), x)
+        assert max_rel_err(gelu_grad(x, tanh, seed), fd) < 1e-6
+
+    def test_layer_norm_rows_grad_fd_all_inputs(self):
+        rng = make_rng(62)
+        x = rng.standard_normal((2, 3, 6))
+        gain = rng.standard_normal(6)
+        bias = rng.standard_normal(6)
+        seed = rng.standard_normal((2, 3, 6))
+        out, normed, std = layer_norm_rows(x, gain, bias, return_stats=True)
+        np.testing.assert_array_equal(out, layer_norm_rows(x, gain, bias))
+        grads = layer_norm_rows_grad(seed, normed, std, gain)
+        for i, name in enumerate(("x", "gain", "bias")):
+            def f(v, name=name):
+                parts = {"x": x, "gain": gain, "bias": bias, name: v}
+                return float((layer_norm_rows(**parts) * seed).sum())
+            fd = central_diff(f, {"x": x, "gain": gain, "bias": bias}[name])
+            assert max_rel_err(grads[i], fd) < 1e-6, name
 
 
 class TestRng:

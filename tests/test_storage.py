@@ -77,6 +77,30 @@ class TestEmbeddingsFormat:
             read_embeddings(path)
         assert err.value.offset == 23
 
+    def test_duplicated_id_reports_its_offset(self, tmp_path):
+        path = tmp_path / "m.csae"
+        write_embeddings(path, unit_matrix(5, 3, 2))
+        data = bytearray(path.read_bytes())
+        # ids start at 21: [2]"e0" [2]"e1" [2]"e2"; make the second one "e0"
+        assert data[27:29] == b"e1"
+        data[28] = ord("0")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="duplicate") as err:
+            read_embeddings(path)
+        assert err.value.offset == 25
+
+    def test_non_finite_value_reports_its_offset(self, tmp_path):
+        path = tmp_path / "m.csae"
+        write_embeddings(path, unit_matrix(6, 3, 2))
+        data = bytearray(path.read_bytes())
+        rows_at = 21 + 3 * 4  # past the header and three 2-byte ids
+        data[rows_at + 4 * 5 + 3] = 0x7F  # exponent bits all set: Inf or NaN
+        data[rows_at + 4 * 5 + 2] |= 0x80
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite") as err:
+            read_embeddings(path)
+        assert err.value.offset == rows_at + 4 * 5
+
     def test_loader_renormalizes_drifted_rows(self, tmp_path):
         emb = unit_matrix(4, 3, 4)
         emb.rows[1] *= 1.5  # break the invariant behind the constructor's back
@@ -224,6 +248,34 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptCheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("prefix", ["", "opt.momentum."])
+    def test_flipped_tensor_name_byte_names_entry(self, tmp_path, prefix):
+        params = init_params(TINY, make_rng(14))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params,
+                        momentum={n: np.zeros_like(t) for n, t in params.tensors.items()})
+        data = bytearray(path.read_bytes())
+        entry_at = data.index(struct.pack("<H", len(prefix + "proj.w"))
+                              + (prefix + "proj.w").encode())
+        data[entry_at + 2 + len(prefix)] ^= 0x01  # "proj.w" -> "qroj.w"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == entry_at
+        assert err.value.entry == prefix + "qroj.w"
+
+    def test_non_finite_tensor_value_names_entry(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(TINY, make_rng(15)))
+        data = bytearray(path.read_bytes())
+        entry_at = data.index(b"\x06\x00proj.b")
+        value_at = entry_at + 2 + 6 + 1 + 8  # name, rank 1, one dim
+        data[value_at:value_at + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCheckpointError, match="non-finite") as err:
+            load_checkpoint(path)
+        assert (err.value.offset, err.value.entry) == (entry_at, "proj.b")
 
     def test_truncated_tensor_names_offending_entry(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -14,9 +14,11 @@ from csarank.affinity import (
     build_affinity_sequence,
     build_training_samples,
 )
+from csarank.checkpoint import load_checkpoint
 from csarank.encoder import (
     EncoderConfig,
     EncoderParams,
+    EncoderTrace,
     _tensor_shapes,
     encoder_backward,
     encoder_trace,
@@ -41,7 +43,7 @@ from csarank.training import (
     _validate,
 )
 from csarank.affinity import EmbeddingMatrix
-from util import central_diff, max_rel_err
+from util import cast_params, central_diff, max_rel_err
 
 
 def rows_with_cosines(cosines):
@@ -169,14 +171,14 @@ class TestTotalLoss:
     def test_gradient_linearity_through_backward(self):
         config = EncoderConfig(depth=1, heads=2, head_dim=4, hidden=8,
                                input_len=6).validate()
-        params = init_params(config, make_rng(11)).astype(np.float64)
+        params = cast_params(init_params(config, make_rng(11)), np.float64)
         x = make_rng(12).standard_normal((4, 6))
         rel = np.array([True, True, False, True])
         lam = 0.2
 
         trace = encoder_trace(x, params)
-        _, gc = contrastive_loss(trace.refined.value, rel, 2.0)
-        _, gm = mse_loss(x, trace.recon.value)
+        _, gc = contrastive_loss(trace.refined, rel, 2.0)
+        _, gm = mse_loss(x, trace.recon)
 
         both, _ = encoder_backward(trace, gc, lam * gm)
         trace2 = encoder_trace(x, params)
@@ -223,7 +225,7 @@ class TestSgdStep:
         np.testing.assert_allclose(p.tensors["proj.b"][0], before - 0.1, atol=1e-7)
 
     def test_two_momentum_steps_match_hand_recursion(self):
-        p = init_params(TINY, make_rng(15)).astype(np.float64)
+        p = cast_params(init_params(TINY, make_rng(15)), np.float64)
         state = SgdState(momentum=0.9, weight_decay=0.0)
         g = 0.25
         grads = zero_grads(p)
@@ -238,14 +240,14 @@ class TestSgdStep:
         assert np.max(np.abs(p.tensors["mse.b2"] - x2)) < 1e-12
 
     def test_weight_decay_skips_vectors(self):
-        p = init_params(TINY, make_rng(16)).astype(np.float64)
+        p = cast_params(init_params(TINY, make_rng(16)), np.float64)
         p.tensors["layers.0.ln1.gain"][:] = 2.0
         p.tensors["proj.b"][:] = 3.0
         sgd_step(p, zero_grads(p), SgdState(momentum=0.0, weight_decay=0.5), lr=0.1)
         np.testing.assert_array_equal(p.tensors["layers.0.ln1.gain"], 2.0)
         np.testing.assert_array_equal(p.tensors["proj.b"], 3.0)
         # matrices do decay
-        w = init_params(TINY, make_rng(16)).astype(np.float64).tensors["proj.w"]
+        w = cast_params(init_params(TINY, make_rng(16)), np.float64).tensors["proj.w"]
         np.testing.assert_allclose(p.tensors["proj.w"], w - 0.1 * 0.5 * w,
                                    atol=1e-15)
 
@@ -296,9 +298,9 @@ class TestTrainLoop:
 
         trace = encoder_trace(sample.sequence.values[None], manual,
                               valid=sample.sequence.valid[None])
-        lc, gc = contrastive_loss(trace.refined.value[0], sample.relevance,
+        lc, gc = contrastive_loss(trace.refined[0], sample.relevance,
                                   2.0, sample.sequence.valid)
-        lm, gm = mse_loss(sample.sequence.values, trace.recon.value[0],
+        lm, gm = mse_loss(sample.sequence.values, trace.recon[0],
                           sample.sequence.valid)
         n_el = int(sample.sequence.valid.sum()) * sample.sequence.values.shape[1]
         grads, _ = encoder_backward(trace, gc[None], (0.2 / n_el) * gm[None])
@@ -375,7 +377,9 @@ class TestTrainLoop:
         assert rec["loss_mse"] > 0.0
         assert rec["loss_total"] == rec["loss_contrastive"]
 
-    def test_train_leaves_no_tape_for_the_collector(self):
+    def test_train_leaves_no_trace_for_the_collector(self):
+        # a step's trace has no reference cycle: it is freed without the
+        # cyclic collector
         samples, config = toy_training_setup(seed=8)
         gc.collect()
         was_enabled = gc.isenabled()
@@ -383,11 +387,24 @@ class TestTrainLoop:
         try:
             train(samples, init_params(config, make_rng(28)), LossConfig(),
                   TrainRunConfig(epochs=1, batch_size=8, seed=1))
-            leftover = [o for o in gc.get_objects() if isinstance(o, Tape)]
+            leftover = [o for o in gc.get_objects()
+                        if isinstance(o, (EncoderTrace, Tape))]
         finally:
             if was_enabled:
                 gc.enable()
         assert leftover == []
+
+    def test_no_validation_split_reports_no_best_map(self, tmp_path):
+        samples, config = toy_training_setup(seed=9)
+        result = train(samples, init_params(config, make_rng(29)), LossConfig(),
+                       TrainRunConfig(epochs=2, batch_size=8, seed=1,
+                                      val_fraction=0.0),
+                       out_dir=tmp_path)
+        assert result.val_history == [None, None]
+        assert result.best_val_map is None
+        assert result.best_epoch == 0
+        _, extra, _ = load_checkpoint(tmp_path / "best.ckpt")
+        assert extra["best_val_map"] is None
 
 
 class TestValidationScoring:
